@@ -21,11 +21,11 @@ export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
 # The smoke benches, as one rerunnable unit: the perf trend gate below
 # re-measures through this function to confirm a flagged regression.
 run_smoke_benches() {
-  # bench_pic_deposit / bench_pic_async / bench_pic_fields also fail by
-  # themselves if any configuration's state hash deviates from the
-  # serial reference. bench_pic_async additionally runs the step-graph
-  # resubmit-vs-replay sweep (stage "submit") and fails unless replay is
-  # strictly cheaper to issue at the smallest grid.
+  # bench_pic_deposit / bench_pic_fields also fail by themselves if any
+  # configuration's state hash deviates from the serial reference.
+  # bench_pic_async runs the step-graph resubmit-vs-replay sweep on the
+  # sharded backend (stage "submit") and fails unless replay is strictly
+  # cheaper to issue at the smallest grid, with matching hashes.
   HICHI_BENCH_JSON=results/BENCH_scheduling.json \
     ./build/bench_ablation_scheduling
   HICHI_BENCH_JSON=results/BENCH_pic_deposit.json ./build/bench_pic_deposit
@@ -55,7 +55,7 @@ run_smoke_benches() {
   # (stage "serve") and per-job latency (stage "latency") per config.
   HICHI_BENCH_JOBS="${HICHI_BENCH_JOBS:-8}" \
     HICHI_BENCH_JSON=results/BENCH_serve.json ./build/bench_serve
-  for RUNNER in serial openmp dpcpp dpcpp-numa async-pipeline sharded; do
+  for RUNNER in serial openmp dpcpp dpcpp-numa sharded; do
     ./build/hichi_push --runner "$RUNNER" --particles 20000 --steps 10 \
       --iterations 2 --json "results/BENCH_push_${RUNNER}.json" \
       | grep -E "NSPS|state hash"
@@ -76,18 +76,18 @@ run_smoke_benches() {
 
 run_smoke_benches
 
-# All runners (the event-chained async-pipeline included) must agree
+# All runners (the asynchronous sharded one included) must agree
 # bitwise on the final particle state; --chain re-runs the dpcpp backend
 # through the event-chained submission shape and --graph through the
 # captured-once/replayed step graph.
 HASHES="$({
-  for RUNNER in serial openmp dpcpp dpcpp-numa async-pipeline sharded; do
+  for RUNNER in serial openmp dpcpp dpcpp-numa sharded; do
     ./build/hichi_push --runner "$RUNNER" --particles 5000 --steps 5 \
       --iterations 1
   done
   ./build/hichi_push --runner dpcpp --chain --particles 5000 --steps 5 \
     --iterations 1
-  for RUNNER in openmp async-pipeline sharded; do
+  for RUNNER in openmp sharded; do
     ./build/hichi_push --runner "$RUNNER" --graph --particles 5000 \
       --steps 5 --iterations 1
   done
@@ -100,10 +100,10 @@ echo "runner equivalence: OK (all state hashes identical)"
 
 # The full PIC loop must agree bitwise across push/deposit backends and
 # tile counts (the tiled-deposition determinism guarantee), including
-# the async-pipeline push path (the double-buffered precalc/push
-# pipeline) with several lane/chunk configurations.
+# the sharded push path (per-shard precalc/push launch pairs) at several
+# shard counts.
 PIC_HASHES="$(
-  for B in serial openmp dpcpp dpcpp-numa async-pipeline sharded; do
+  for B in serial openmp dpcpp dpcpp-numa sharded; do
     ./build/pic_langmuir --steps 40 --push-backend "$B" \
       --deposit-backend "$B" --deposit-tiles 5 \
       | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
@@ -120,12 +120,12 @@ PIC_HASHES="$(
   ./build/pic_langmuir --steps 40 --deposit-backend openmp \
     --deposit-tiles 11 --deposit-threads 2 \
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
-  ./build/pic_langmuir --steps 40 --push-backend async-pipeline \
-    --threads 4 --pipeline-chunks 3 --deposit-backend dpcpp \
+  ./build/pic_langmuir --steps 40 --push-backend sharded \
+    --threads 4 --deposit-backend dpcpp \
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
   # Step-graph replay (capture step 0, replay 1..39) must land on the
   # same hash, including the sharded whole-loop shape.
-  for B in serial openmp async-pipeline; do
+  for B in serial openmp sharded; do
     ./build/pic_langmuir --steps 40 --push-backend "$B" \
       --deposit-backend "$B" --deposit-tiles 5 --graph \
       | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
@@ -146,10 +146,10 @@ PIC_HASHES="$(
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
 )"
 if [ "$(echo "$PIC_HASHES" | sort -u | wc -l)" != "1" ]; then
-  echo "FAIL: PIC state hashes differ across backends/tiles/pipelines" >&2
+  echo "FAIL: PIC state hashes differ across backends/tiles/shards" >&2
   exit 1
 fi
-echo "PIC equivalence: OK (all state hashes identical, async pipeline included)"
+echo "PIC equivalence: OK (all state hashes identical, sharded push included)"
 
 # The Maxwell field solve must agree bitwise across field backends and
 # tile counts too — for both solvers (FDTD's x-slab halo tiles and the
@@ -159,7 +159,7 @@ echo "PIC equivalence: OK (all state hashes identical, async pipeline included)"
 # uniqueness check runs per solver.
 for SOLVER in fdtd spectral; do
   FIELD_HASHES="$(
-    for B in serial openmp dpcpp dpcpp-numa async-pipeline sharded; do
+    for B in serial openmp dpcpp dpcpp-numa sharded; do
       ./build/pic_langmuir --steps 40 --solver "$SOLVER" \
         --field-backend "$B" --field-tiles 5 \
         | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
@@ -171,8 +171,8 @@ for SOLVER in fdtd spectral; do
       --field-backend openmp --field-tiles 11 --field-threads 2 \
       | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
     ./build/pic_langmuir --steps 40 --solver "$SOLVER" \
-      --field-backend async-pipeline --field-threads 2 --field-tiles 7 \
-      --deposit-backend async-pipeline --deposit-tiles 3 \
+      --field-backend sharded --field-threads 2 --field-tiles 7 \
+      --deposit-backend sharded --deposit-tiles 3 \
       | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
     # Graph replay of the per-solver field chain (B->E->B / k-space).
     ./build/pic_langmuir --steps 40 --solver "$SOLVER" \

@@ -49,10 +49,6 @@ int main(int Argc, char **Argv) {
   Args.addOption("deposit-tiles",
                  "current tiles (x-slabs) for the deposit stage (0 = auto)",
                  "0");
-  Args.addOption("pipeline-chunks",
-                 "ensemble chunks of the async precalc/push pipeline "
-                 "(0 = auto; only used by asynchronous push backends)",
-                 "0");
   Args.addOption("field-backend",
                  "exec backend of the Maxwell field-solve stage", "openmp");
   Args.addOption("field-threads", "field-solve worker threads (0 = all)",
@@ -147,8 +143,6 @@ int main(int Argc, char **Argv) {
   Options.DepositBackend = Args.getString("deposit-backend");
   Options.DepositThreads = int(Args.getInt("deposit-threads").value_or(0));
   Options.DepositTiles = int(Args.getInt("deposit-tiles").value_or(0));
-  Options.PushPipelineChunks =
-      int(Args.getInt("pipeline-chunks").value_or(0));
   Options.FieldBackend = Args.getString("field-backend");
   Options.FieldThreads = int(Args.getInt("field-threads").value_or(0));
   Options.FieldTiles = int(Args.getInt("field-tiles").value_or(0));
@@ -228,8 +222,6 @@ int main(int Argc, char **Argv) {
         O.PushBackend = Plan.Push.Backend;
       if (!Args.seen("threads"))
         O.PushThreads = Plan.Push.Threads;
-      if (!Args.seen("pipeline-chunks"))
-        O.PushPipelineChunks = Plan.PipelineChunks;
       if (!Args.seen("deposit-backend"))
         O.DepositBackend = Plan.Deposit.Backend;
       if (!Args.seen("deposit-threads"))
@@ -363,14 +355,6 @@ int main(int Argc, char **Argv) {
               Sim.kineticEnergy(), Sim.fieldEnergy());
   std::printf("push stage ran on '%s': %.2f ms total\n",
               Sim.pushBackend().name(), Sim.pushStats().HostNs / 1e6);
-  if (Sim.usesAsyncPipeline()) {
-    const pic::PicPipelineStats &P = Sim.pipelineStats();
-    std::printf("  double-buffered pipeline: %d chunks x %d lanes, precalc "
-                "%.2f ms + push %.2f ms kernels, overlap %.0f%%\n",
-                Sim.pipelineChunkCount(), Sim.pushBackend().concurrency(),
-                P.PrecalcNs / 1e6, P.PushNs / 1e6,
-                100.0 * P.overlapEfficiency());
-  }
   const std::vector<exec::ShardStat> ShardStats = Sim.shardStats();
   if (!ShardStats.empty()) {
     std::printf("  sharded execution: %zu shards, item imbalance %.2fx "
@@ -424,11 +408,9 @@ int main(int Argc, char **Argv) {
                   S.SpecsBuilt, S.SubmitNs / 1e3, S.SubmitNs / 1e3 / Steps);
     };
     std::printf("submit-overhead ledger over %d steps:\n", TotalSteps);
-    PrintLedger("push", Sim.pushStats());
-    if (Sim.pushBackend().isAsynchronous() || Sim.shardCount() > 0) {
-      PrintLedger("  precalc", Sim.precalcKernelStats());
-      PrintLedger("  push-krn", Sim.pushKernelStats());
-    }
+    if (Sim.shardCount() > 0)
+      PrintLedger("precalc", Sim.precalcKernelStats());
+    PrintLedger("push", Sim.pushKernelStats());
     PrintLedger("deposit", Sim.depositLaunchStats());
     PrintLedger("field", Sim.fieldLaunchStats());
     PrintLedger("total", Sim.submitOverhead());

@@ -115,7 +115,6 @@ bool operator==(const StagePlan &L, const StagePlan &R) {
 
 bool operator==(const TunePlan &L, const TunePlan &R) {
   return L.Push == R.Push && L.Deposit == R.Deposit && L.Field == R.Field &&
-         L.PipelineChunks == R.PipelineChunks &&
          L.UseStepGraph == R.UseStepGraph && L.ProfileHost == R.ProfileHost &&
          L.Source == R.Source;
 }
@@ -135,8 +134,8 @@ std::string TunePlan::report() const {
                   S.PredictedNsPerItem, S.MemoryBound ? "memory" : "compute");
     Out += Buf;
   }
-  std::snprintf(Buf, sizeof(Buf), "  step graph: %s, pipeline chunks: %d\n",
-                UseStepGraph ? "on" : "off", PipelineChunks);
+  std::snprintf(Buf, sizeof(Buf), "  step graph: %s\n",
+                UseStepGraph ? "on" : "off");
   Out += Buf;
   return Out;
 }
@@ -145,12 +144,10 @@ std::string TunePlan::reportLine() const {
   char Buf[512];
   std::snprintf(
       Buf, sizeof(Buf),
-      "push=%s/%d deposit=%s/%dx%d field=%s/%dx%d graph=%d chunks=%d "
-      "profile=%s(%s)",
+      "push=%s/%d deposit=%s/%dx%d field=%s/%dx%d graph=%d profile=%s(%s)",
       Push.Backend.c_str(), Push.Threads, Deposit.Backend.c_str(),
       Deposit.Threads, Deposit.Tiles, Field.Backend.c_str(), Field.Threads,
-      Field.Tiles, UseStepGraph ? 1 : 0, PipelineChunks, ProfileHost.c_str(),
-      Source.c_str());
+      Field.Tiles, UseStepGraph ? 1 : 0, ProfileHost.c_str(), Source.c_str());
   return std::string(Buf);
 }
 
@@ -170,10 +167,6 @@ TunePlan Autotuner::planFromProfile(const MachineProfile &Profile) {
   Plan.Field = planStage(Machine, Profile,
                          perfmodel::fieldStageWorkload(perfmodel::Precision::Double),
                          /*IsDeposit=*/false);
-
-  // Pipeline chunking only helps the async push backend; the planner
-  // never picks that backend on its own, so leave the knob on auto.
-  Plan.PipelineChunks = 0;
 
   // Graph replay pays when the planned backends' measured per-launch
   // submit overhead is large. Unmeasured backends contribute 0 — an

@@ -20,7 +20,7 @@
 /// their dependencies inline and completing the work before returning
 /// (dpcpp on a non-blocking simulated-GPU queue is the exception: it
 /// returns a deferred event, see DpcppBackend). The asynchronous
-/// "async-pipeline" backend lives in AsyncPipeline.h.
+/// "sharded" backend lives in ShardedBackend.h.
 ///
 /// Prefer resolving backends by name through BackendRegistry.h; the
 /// concrete classes are exposed for direct construction in tests.

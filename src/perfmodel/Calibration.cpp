@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -103,7 +104,9 @@ double triadPasses(std::vector<double> &A, const std::vector<double> &B,
   return N ? A[N / 2] : 0.0;
 }
 
-/// Keeps checksums observable without printing them.
+/// Keeps checksums observable without printing them. Written by the
+/// calling thread only: concurrent workers keep their own sinks, summed
+/// in here after join().
 volatile double CalibrationSink = 0.0;
 
 /// Buffers of one streaming thread, prefaulted by the owning thread so
@@ -173,17 +176,19 @@ std::vector<double> timeSaturated(double WorkingSetBytes, int Passes,
   };
 
   std::vector<double> TimesNs(std::size_t(Repeats), 0.0);
+  std::vector<double> Sinks(std::size_t(Threads), 0.0);
   std::vector<std::thread> Workers;
   Workers.reserve(std::size_t(Threads));
   for (int T = 0; T < Threads; ++T) {
     Workers.emplace_back([&, T] {
       TriadBuffers Buf(triadElements(WorkingSetBytes)); // first-touch local
-      CalibrationSink = triadPasses(Buf.A, Buf.B, Buf.C, Passes); // warmup
+      double &Sink = Sinks[std::size_t(T)];
+      Sink += triadPasses(Buf.A, Buf.B, Buf.C, Passes); // warmup
       int Gen = 0;
       for (int R = 0; R < Repeats; ++R) {
         Barrier(Gen++);
         Stopwatch Watch;
-        CalibrationSink = triadPasses(Buf.A, Buf.B, Buf.C, Passes);
+        Sink += triadPasses(Buf.A, Buf.B, Buf.C, Passes);
         const double Ns = double(Watch.elapsedNanoseconds());
         Barrier(Gen++);
         if (T == 0)
@@ -193,12 +198,16 @@ std::vector<double> timeSaturated(double WorkingSetBytes, int Passes,
   }
   for (std::thread &W : Workers)
     W.join();
+  CalibrationSink = std::accumulate(Sinks.begin(), Sinks.end(), 0.0);
   return TimesNs;
 }
 
+/// Flops one fmaLoop iteration does: one FMA = 2 flops, 8 lanes.
+constexpr double FmaFlopsPerIteration = 2.0 * 8.0;
+
 /// The FMA throughput loop: 8 independent accumulators of fused
 /// multiply-adds, so the chain latency never serializes the pipes.
-/// Returns flops done.
+/// Returns the accumulators' checksum.
 double fmaLoop(long long Iterations) {
   double Acc0 = 1.0, Acc1 = 1.1, Acc2 = 1.2, Acc3 = 1.3;
   double Acc4 = 1.4, Acc5 = 1.5, Acc6 = 1.6, Acc7 = 1.7;
@@ -214,25 +223,23 @@ double fmaLoop(long long Iterations) {
     Acc6 = Acc6 * M + A;
     Acc7 = Acc7 * M + A;
   }
-  CalibrationSink =
-      Acc0 + Acc1 + Acc2 + Acc3 + Acc4 + Acc5 + Acc6 + Acc7;
-  return 2.0 * 8.0 * double(Iterations); // one FMA = 2 flops, 8 lanes
+  return Acc0 + Acc1 + Acc2 + Acc3 + Acc4 + Acc5 + Acc6 + Acc7;
 }
 
 /// Median flops/s over \p Repeats repeats of the FMA loop on the calling
-/// thread.
-double measureFmaFlops(long long Iterations, int Repeats) {
-  fmaLoop(Iterations); // warmup
+/// thread; the loops' checksums accumulate into \p Sink.
+double measureFmaFlops(long long Iterations, int Repeats, double &Sink) {
+  Sink += fmaLoop(Iterations); // warmup
   std::vector<double> TimesNs;
   TimesNs.reserve(std::size_t(Repeats));
-  double Flops = 0;
   for (int R = 0; R < Repeats; ++R) {
     Stopwatch Watch;
-    Flops = fmaLoop(Iterations);
+    Sink += fmaLoop(Iterations);
     TimesNs.push_back(double(Watch.elapsedNanoseconds()));
   }
   std::sort(TimesNs.begin(), TimesNs.end());
   const double MedianNs = percentile(TimesNs, 0.50);
+  const double Flops = FmaFlopsPerIteration * double(Iterations);
   return MedianNs > 0 ? Flops / (MedianNs / 1e9) : 0.0;
 }
 
@@ -241,14 +248,17 @@ double measureFmaFlops(long long Iterations, int Repeats) {
 double measureFmaFlopsSaturated(long long Iterations, int Repeats,
                                 int Threads) {
   std::vector<double> PerThread(std::size_t(Threads), 0.0);
+  std::vector<double> Sinks(std::size_t(Threads), 0.0);
   std::vector<std::thread> Workers;
   Workers.reserve(std::size_t(Threads));
   for (int T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      PerThread[std::size_t(T)] = measureFmaFlops(Iterations, Repeats);
+      PerThread[std::size_t(T)] =
+          measureFmaFlops(Iterations, Repeats, Sinks[std::size_t(T)]);
     });
   for (std::thread &W : Workers)
     W.join();
+  CalibrationSink = std::accumulate(Sinks.begin(), Sinks.end(), 0.0);
   double Total = 0;
   for (double F : PerThread)
     Total += F;
@@ -301,7 +311,10 @@ MachineProfile Calibration::measure(const CalibrationConfig &Config) {
     Out.Tiers.push_back(Tier);
   }
 
-  Out.FmaFlopsPerCore = measureFmaFlops(Config.FmaIterations, Config.Repeats);
+  double Sink = 0;
+  Out.FmaFlopsPerCore =
+      measureFmaFlops(Config.FmaIterations, Config.Repeats, Sink);
+  CalibrationSink = Sink;
   Out.FmaFlopsSaturated = measureFmaFlopsSaturated(
       Config.FmaIterations, Config.Repeats, Out.Threads);
   return Out;

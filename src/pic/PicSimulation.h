@@ -23,24 +23,18 @@
 /// stage-to-backend map. This is the substrate the standalone pusher
 /// benchmarks carve their kernel out of.
 ///
-/// Stages 3 and 4 are submitted as one event chain: the deposit's
-/// accumulate → reduce launches, then the field solve's launches with
-/// the reduction's event as the dependency of the first launch that
-/// reads J (the FDTD E advance / the spectral gather). On asynchronous
-/// backends the first FDTD half-step therefore overlaps the deposit
-/// reduction — it touches no J lattice — while the chain keeps the
-/// per-node operation order, and hence the state hash, bit-identical to
-/// the all-serial loop.
-///
-/// On an asynchronous push backend ("async-pipeline"), stage 1 runs as a
-/// **double-buffered precalc/push pipeline**: the field interpolation is
-/// split out of the fused interpolate+push kernel into a precalc kernel
-/// that fills a per-chunk FieldSample buffer, and chunk k's push (reading
-/// buffer k%2) overlaps chunk k+1's precalc (filling the other buffer) —
-/// event-chained so the per-particle operation sequence, and therefore
-/// the state hash, is bit-identical to the fused serial stage. See the
-/// "Asynchronous execution" section of docs/ARCHITECTURE.md for the
-/// dataflow diagram.
+/// Every step mode issues one step body: an explicit-edge launch DAG of
+/// the J clear, the stage-1 push (which also wraps the moved positions
+/// back into the box), the tile binning, the deposit chain and the
+/// field chain. A classic step submits it to
+/// the stage backends directly; a step-graph capture submits the same
+/// DAG through recording wrappers and replays it on later steps. The
+/// edges carry every ordering the step needs, so no host code has to
+/// stand between the stages. The field solve's first launch that reads
+/// J (the FDTD E advance / the spectral gather) depends on the deposit
+/// reduction, so on asynchronous backends the first FDTD half-step
+/// overlaps the reduction, while the per-node operation order, and
+/// hence the state hash, stays bit-identical to the all-serial loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,19 +122,14 @@ template <typename Real> struct PicOptions {
 
   /// Execution backend (exec registry name) for the interpolate+push
   /// stage. Particles are independent during the push, so any registered
-  /// backend gives bit-identical results. Asynchronous backends
-  /// ("async-pipeline") run the stage as the double-buffered
-  /// precalc/push pipeline.
+  /// backend gives bit-identical results. The stage runs as one fused
+  /// interpolate+push launch, or — on the "sharded" backend — as one
+  /// precalc→push launch pair per shard, routed to the shard's lane.
   std::string PushBackend = "serial";
 
-  /// Worker threads for the push stage; 0 means all (for
-  /// "async-pipeline": the lane count, default 2).
+  /// Worker threads for the push stage; 0 means all (for "sharded": the
+  /// shard count, default 4).
   int PushThreads = 0;
-
-  /// Chunks the double-buffered pipeline slices the ensemble into when
-  /// the push backend is asynchronous; 0 = auto (two per pipeline lane).
-  /// Ignored by synchronous push backends.
-  int PushPipelineChunks = 0;
 
   /// Execution backend for the current-deposition stage. The scatter
   /// couples particles through the grid, so it runs as per-tile
@@ -222,35 +211,12 @@ template <typename Real> struct PicOptions {
   MovingWindowOptions<Real> MovingWindow;
 
   /// Let the autotuner (exec/Autotuner.h) fill every stage knob still at
-  /// its built-in default — backends left at "serial", thread/tile/chunk
+  /// its built-in default — backends left at "serial", thread/tile
   /// counts left at 0, step graph left off — from the host's measured
   /// machine profile. Knobs set explicitly (above) always win. All tuned
   /// knobs are hash-invariant, so a tuned run's state hash still equals
   /// the serial reference.
   bool Tune = false;
-};
-
-/// Accumulated timing of the double-buffered precalc/push pipeline (only
-/// populated when the push backend is asynchronous). PrecalcNs and
-/// PushNs are per-kernel busy times summed over chunks and steps; WallNs
-/// is the wall time of the whole pipelined stage. Their gap is the
-/// overlap the pipeline achieved.
-struct PicPipelineStats {
-  double WallNs = 0;    ///< wall time of the pipelined stage 1
-  double PrecalcNs = 0; ///< field-precalc kernel busy time (all chunks)
-  double PushNs = 0;    ///< push kernel busy time (all chunks)
-
-  /// Fraction of the smaller stage that the pipeline hid behind the
-  /// larger one: 1 = perfect overlap (wall == max of the two stages),
-  /// 0 = fully serialized (wall >= their sum). Can exceed 1 slightly
-  /// when per-kernel timers under-count scheduling gaps.
-  double overlapEfficiency() const {
-    const double Hidden = PrecalcNs + PushNs - WallNs;
-    const double MaxHidden = PrecalcNs < PushNs ? PrecalcNs : PushNs;
-    if (MaxHidden <= 0)
-      return 0;
-    return Hidden > 0 ? Hidden / MaxHidden : 0;
-  }
 };
 
 /// A complete electromagnetic PIC simulation over one periodic box.
@@ -331,32 +297,32 @@ public:
   }
 
   /// Advances the simulation by one step. With PicOptions::UseStepGraph
-  /// the first step executes through a graph-capturing wrapper and every
+  /// the first step executes through graph-capturing wrappers and every
   /// later step replays the captured launch DAG with only the step
-  /// index and simulation time rebound; the classic host-ordered path
-  /// runs otherwise (both bit-identical,
+  /// index and simulation time rebound; otherwise the same DAG is
+  /// submitted anew every step (both bit-identical,
   /// tests/pic/GraphEquivalenceTest.cpp).
   void step() {
-    if (Options.UseStepGraph) {
-      // The graph is keyed on the ensemble size AND the partition epoch:
-      // a fired rebalance re-splits the push blocks whose ranges the
-      // captured DAG baked in, so a repartition recaptures through the
-      // same seam a size change does.
-      if (Graph && Graph->instantiated() &&
-          GraphN == Particles.view().size() && GraphEpoch == PartitionEpoch)
-        replayStep();
-      else
-        captureStep();
+    if (canSubmitStepAsync()) {
+      submitStepAsync();
+      finishStepAsync();
       return;
     }
-    classicStep();
+    if (Options.UseStepGraph)
+      captureStep();
+    else
+      runStep(*Backend, *DepositExec, *FieldExec);
+    finishStep();
   }
 
   /// True when the next step can run as the split submit/finish pair
   /// below: graph mode is on and the captured DAG is valid for the
-  /// current ensemble size and partition epoch. False on the capture
-  /// step and after any invalidation — the driver falls back to step()
-  /// for those (which captures/recaptures), then splits again.
+  /// current ensemble size and partition epoch (a fired rebalance
+  /// re-splits the push blocks whose ranges the DAG baked in, so a
+  /// repartition recaptures through the same seam a size change does).
+  /// False on the capture step and after any invalidation — the driver
+  /// falls back to step() for those (which captures/recaptures), then
+  /// splits again.
   bool canSubmitStepAsync() const {
     return Options.UseStepGraph && Graph && Graph->instantiated() &&
            GraphN == Particles.size() && GraphEpoch == PartitionEpoch;
@@ -385,17 +351,26 @@ public:
   /// bit-identical to step() on the replay path.
   void finishStepAsync() {
     Graph->waitReplay();
-    const double Ns = double(AsyncStepWatch.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
+    addWall(GraphTiming, AsyncStepWatch);
     ++GraphReplays;
     finishStep();
   }
 
 private:
-  /// The classic host-ordered step: stages execute in program order with
-  /// host waits between them, resubmitting every launch.
-  void classicStep() {
+  /// The one step body: the five-stage step as an explicit-edge launch
+  /// DAG on the three stage backends, run to completion. A classic step
+  /// passes the stage backends themselves; a graph capture passes
+  /// GraphCapture wrappers around them, which record every launch while
+  /// forwarding it. The J clear and the tile binning are launches too,
+  /// and the edges reproduce every ordering the stages need, so a replay
+  /// with no host code between the nodes is the same step. The host
+  /// waits at the stage boundaries order nothing the edges do not; they
+  /// only split the step's wall into the push, deposit and field stage
+  /// walls (disjoint intervals, so the three sum to at most the step's
+  /// wall).
+  void runStep(exec::ExecutionBackend &PushE,
+               exec::ExecutionBackend &DepositE,
+               exec::ExecutionBackend &FieldE) {
     const Real Dt = Options.TimeStep;
     const Real C = Options.LightVelocity;
     auto View = Particles.view();
@@ -405,128 +380,14 @@ private:
 
     // Per-step rebinding surface (kernel bodies read the simulation
     // time through it) and the reusable kernel-body caches — rewound,
-    // not reallocated, so the steady state allocates nothing.
+    // not reallocated, so the steady state allocates nothing and a
+    // captured graph keeps pointing at stable storage.
     StepParams.StepIndex = Steps;
     StepParams.Scalars[0] = double(CurrentTime);
     StageCache.rewind();
     ChainCache.rewind();
-
-    Grid.clearCurrent();
-
-    // Stage 1 — interpolate + push, routed through the push backend
-    // (particles are independent here, so any backend is bit-identical).
-    // Old positions are kept aside because the deposition needs both ends
-    // of the same move.
-    OldPositions.resize(std::size_t(N));
-    Vector3<Real> *OldPos = OldPositions.data();
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
-    if (PushSharded() && N > 0) {
-      // Sharded backend: the ensemble is partitioned once into the
-      // backend's persistent shards; each shard precalcs its slice into
-      // its own first-touched arena and pushes it on its own lane,
-      // routed by shard affinity (same per-particle operation sequence
-      // as the fused serial kernel, hence the same bits).
-      shardedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                        Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      // Asynchronous backend: the double-buffered precalc/push pipeline
-      // (same per-particle operation sequence, hence the same bits).
-      pipelinedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx);
-    } else {
-      // One step per launch: the deposition below couples particles, so
-      // multi-step fusion is not legal for the PIC loop.
-      fusedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                      Ctx)
-          .wait();
-    }
-
-    // Stage 2 — wrap positions back into the box, keeping the unwrapped
-    // endpoints aside: the deposition needs the physical displacement.
-    NewPositions.resize(std::size_t(N));
-    Vector3<Real> *NewPos = NewPositions.data();
-    for (Index I = 0; I < N; ++I) {
-      auto P = View[I];
-      const Vector3<Real> Pos = P.position(); // unwrapped
-      NewPos[I] = Pos;
-      P.setPosition(Grid.wrapPosition(Pos));
-    }
-
-    // Stages 3 + 4 — one event chain. Stage 3: current deposition
-    // through the deposit backend, per-tile private accumulation plus
-    // fixed-order reduction, bit-identical to the serial particle-order
-    // scatter (TiledCurrentAccumulator.h). Stage 4: the Maxwell solve
-    // through the field backend, chained on the deposit reduction's
-    // event at the first launch that reads J — so on an asynchronous
-    // field backend the reduction's tail overlaps the first FDTD
-    // half-step. Kernel bodies live in ChainKernels until the final
-    // wait (the asynchronous lifetime contract).
-    exec::ExecEvent JReady;
-    {
-      Stopwatch Watch;
-      JReady = Accumulator->submitDeposit(Grid, View, OldPos, NewPos,
-                                          TypesPtr, Dt,
-                                          Options.ChargeConserving,
-                                          *DepositExec, Ctx,
-                                          DepositLaunchStats, ChainCache);
-      if (!FieldExec->isAsynchronous())
-        JReady.wait(); // keep the serial stage-wall attribution exact
-      const double Ns = double(Watch.elapsedNanoseconds());
-      DepositTiming.HostNs += Ns;
-      DepositTiming.ModeledNs += Ns;
-    }
-
-    {
-      // On an asynchronous field backend this wall includes the deposit
-      // tail the chain hides — the stage boundary blurs by design.
-      Stopwatch Watch;
-      const exec::ExecEvent FieldsDone =
-          Spectral ? Spectral->submitStep(Grid, Dt, *FieldExec, Ctx,
-                                          FieldTileCount, FieldLaunchStats,
-                                          JReady, ChainCache)
-                   : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldExec,
-                                       Ctx, FieldLaunchStats, JReady,
-                                       ChainCache);
-      FieldsDone.wait();
-      JReady.wait(); // retire the deposit launches' stats publication too
-      const double Ns = double(Watch.elapsedNanoseconds());
-      FieldTiming.HostNs += Ns;
-      FieldTiming.ModeledNs += Ns;
-    }
-
-    finishStep();
-  }
-
-  /// Graph-mode first step: runs the full five-stage step through
-  /// graph-capturing wrappers so every launch is recorded into a fresh
-  /// StepGraph while executing normally (the capture step itself is
-  /// bit-identical to classicStep — stage 2's host loop and the host
-  /// J-clear simply become captured nodes, and the explicit edges
-  /// reproduce the orderings the classic host waits provided). The
-  /// instantiated graph is keyed on the ensemble size; any size change
-  /// discards it and recaptures.
-  void captureStep() {
-    const Real Dt = Options.TimeStep;
-    const Real C = Options.LightVelocity;
-    auto View = Particles.view();
-    const Index N = View.size();
-    const ParticleTypeInfo<Real> *TypesPtr = Types.data();
-    YeeInterpolator<Real> Interp(Grid);
-
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-
-    // A fresh graph owns nothing: kernel bodies live in the member
-    // caches (cleared, then rebuilt by this capture so replays keep
-    // pointing at stable storage) and stats in member RunStats.
-    Graph = std::make_unique<exec::StepGraph>(&StepParams);
-    PushCap = std::make_unique<exec::GraphCapture>(*Backend, *Graph);
-    DepositCap = std::make_unique<exec::GraphCapture>(*DepositExec, *Graph);
-    FieldCap = std::make_unique<exec::GraphCapture>(*FieldExec, *Graph);
-    StageCache.clear();
-    ChainCache.clear();
-
+    // Old positions are kept aside because the deposition needs both
+    // ends of the same move.
     OldPositions.resize(std::size_t(N));
     NewPositions.resize(std::size_t(N));
     Vector3<Real> *OldPos = OldPositions.data();
@@ -534,98 +395,87 @@ private:
     exec::ExecutionContext Ctx;
     Ctx.Queue = Queue.get();
 
-    Stopwatch Wall;
+    // The J clear: the deposit chain's first launch depends on it.
+    const exec::ExecEvent Cleared = exec::submitCachedLaunch(
+        DepositE, Ctx, DepositLaunchStats, 1, /*GrainHint=*/0,
+        ClearCurrentBody{&Grid}, {}, StageCache);
 
-    // The J clear as a captured node (host call in classic mode): the
-    // deposit chain's bin/reduce depend on it, replacing program order.
-    DepositLaunchStats.SpecsBuilt += 1;
-    exec::LaunchSpec ClearSpec;
-    ClearSpec.Items = 1;
-    ClearSpec.StepBegin = Steps;
-    ClearSpec.StepEnd = Steps + 1;
-    const ClearCurrentBody &ClearBody =
-        StageCache.emplace(ClearCurrentBody{&Grid});
-    const exec::ExecEvent Cleared = DepositCap->submit(
-        ClearSpec,
-        exec::StepKernel(ClearBody, exec::kernelIdentity<ClearCurrentBody>()),
-        Ctx, DepositLaunchStats);
+    // Stages 1+2 — interpolate, push and wrap back into the box through
+    // the push backend (particles are independent here, so any backend
+    // is bit-identical), keeping both unwrapped endpoints of every move
+    // aside for the deposition.
+    Stopwatch Watch;
+    const std::vector<exec::ExecEvent> Moved =
+        PushSharded() && N > 0
+            ? shardedInterpPush(PushE, View, Interp, OldPos, NewPos,
+                                TypesPtr, Dt, C, N, Ctx)
+            : std::vector<exec::ExecEvent>{exec::submitCachedLaunch(
+                  PushE, Ctx, PushKernelTiming, N, /*GrainHint=*/0,
+                  FusedPushBody{View, Interp, OldPos, NewPos, &Grid,
+                                TypesPtr, Dt, C, &StepParams},
+                  {}, StageCache)};
+    for (const exec::ExecEvent &Event : Moved)
+      Event.wait();
+    addWall(PushTiming, Watch);
 
-    // Stage 1 through the capturing wrapper — same routing as classic.
-    std::vector<exec::ExecEvent> PushDone;
-    if (PushSharded() && N > 0) {
-      PushDone = shardedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                   Dt, C, N, Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      PushDone = pipelinedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                     Dt, C, N, Ctx);
-    } else {
-      PushDone.push_back(
-          fusedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx));
-    }
-
-    // Stage 2 (the wrap) as a captured node gated on every push launch —
-    // under replay the host no longer stands between the stages.
-    PushTiming.SpecsBuilt += 1;
-    exec::LaunchSpec WrapSpec;
-    WrapSpec.Items = N;
-    WrapSpec.StepBegin = Steps;
-    WrapSpec.StepEnd = Steps + 1;
-    WrapSpec.DependsOn = PushDone;
-    const WrapBody &Wrap = StageCache.emplace(WrapBody{View, NewPos, &Grid});
-    const exec::ExecEvent Wrapped = PushCap->submit(
-        WrapSpec, exec::StepKernel(Wrap, exec::kernelIdentity<WrapBody>()),
-        Ctx, PushTiming);
-
-    // Stages 3 + 4. BinOnBackend turns the host-side cell binning into a
-    // captured node (gated on {Wrapped, Cleared}); the field solve's
-    // first half-step additionally waits the wrap for the FDTD path,
-    // because advanceB writes the B lattice stage 1 reads and replay has
-    // no host ordering to protect that (the spectral solver's gather is
-    // transitively ordered through JReady already).
+    // Stage 3 — current deposition: binning, per-tile private
+    // accumulation and the fixed-order reduction, bit-identical to the
+    // serial particle-order scatter (TiledCurrentAccumulator.h).
+    Watch.reset();
+    std::vector<exec::ExecEvent> DepositAfter = Moved;
+    DepositAfter.push_back(Cleared);
     const exec::ExecEvent JReady = Accumulator->submitDeposit(
         Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
-        *DepositCap, Ctx, DepositLaunchStats, ChainCache,
-        {Wrapped, Cleared}, /*BinOnBackend=*/true);
+        DepositE, Ctx, DepositLaunchStats, ChainCache, DepositAfter,
+        /*BinOnBackend=*/true);
+    if (!FieldE.isAsynchronous())
+      JReady.wait(); // keep the serial stage-wall attribution exact
+    addWall(DepositTiming, Watch);
+
+    // Stage 4 — the Maxwell solve, chained on the deposit reduction at
+    // the first launch that reads J. The FDTD path's first half-step
+    // also waits stage 1: advanceB writes the B lattice stage 1 reads.
+    // (The spectral gather is ordered through JReady already.) On an
+    // asynchronous field backend this wall includes the deposit tail
+    // the chain hides — the stage boundary blurs by design.
+    Watch.reset();
     const exec::ExecEvent FieldsDone =
-        Spectral ? Spectral->submitStep(Grid, Dt, *FieldCap, Ctx,
-                                        FieldTileCount, FieldLaunchStats,
-                                        JReady, ChainCache)
-                 : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldCap,
-                                     Ctx, FieldLaunchStats, JReady,
-                                     ChainCache, {Wrapped});
+        Spectral ? Spectral->submitStep(Grid, Dt, FieldE, Ctx, FieldTileCount,
+                                        FieldLaunchStats, JReady, ChainCache)
+                 : Solver.submitStep(Grid, Dt, *FieldPartition, FieldE, Ctx,
+                                     FieldLaunchStats, JReady, ChainCache,
+                                     Moved);
     FieldsDone.wait();
-    JReady.wait();
-
-    if (!Graph->instantiate())
-      Graph.reset(); // empty capture (defensive); next step recaptures
-    GraphN = N;
-    GraphEpoch = PartitionEpoch;
-    ++GraphCaptures;
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
-
-    finishStep();
+    JReady.wait(); // retire the deposit launches' stats publication too
+    addWall(FieldTiming, Watch);
   }
 
-  /// Graph-mode steady state: rebinds the step index and simulation time
-  /// in the ParamBlock and re-issues the captured DAG — no specs built,
-  /// no kernel bodies constructed, no counted launches. sortByCell
-  /// between replays is safe: it permutes particle storage in place, so
-  /// every captured pointer stays valid.
-  void replayStep() {
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
+  /// Graph-mode first step: runs the step body through graph-capturing
+  /// wrappers, so every launch is recorded into a fresh StepGraph while
+  /// executing normally, then instantiates the graph. The graph is keyed
+  /// on the ensemble size and partition epoch; any change discards it
+  /// and recaptures. Kernel bodies live in the member caches and stats
+  /// in member RunStats, so the graph owns nothing.
+  void captureStep() {
     Stopwatch Wall;
-    Graph->replay(Ctx);
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
-    ++GraphReplays;
-    finishStep();
+    Graph = std::make_unique<exec::StepGraph>(&StepParams);
+    exec::GraphCapture PushCap(*Backend, *Graph);
+    exec::GraphCapture DepositCap(*DepositExec, *Graph);
+    exec::GraphCapture FieldCap(*FieldExec, *Graph);
+    runStep(PushCap, DepositCap, FieldCap);
+    if (!Graph->instantiate())
+      Graph.reset(); // empty capture (defensive); next step recaptures
+    GraphN = Particles.size();
+    GraphEpoch = PartitionEpoch;
+    ++GraphCaptures;
+    addWall(GraphTiming, Wall);
+  }
+
+  /// Adds the wall time \p Watch has measured to a stage's stats.
+  static void addWall(RunStats &Stats, const Stopwatch &Watch) {
+    const double Ns = double(Watch.elapsedNanoseconds());
+    Stats.HostNs += Ns;
+    Stats.ModeledNs += Ns;
   }
 
   /// The host epilogue every step mode shares (classic, capture,
@@ -891,21 +741,25 @@ public:
   /// k-space chunks per launch for the spectral solver).
   int fieldTileCount() const { return FieldTileCount; }
 
-  /// Accumulated timing of the push stage across all steps so far.
+  /// Accumulated wall time of the push stage (interpolate, push and
+  /// wrap) across the classic steps and graph captures so far. The
+  /// push, deposit and field stage walls are disjoint parts of the
+  /// step's wall; a replayed step counts only in graphStats().
   const RunStats &pushStats() const { return PushTiming; }
 
   /// Accumulated wall time of the deposit stage (binning + accumulate +
   /// reduce; submission only when an asynchronous field backend overlaps
-  /// the tail) across all steps so far.
+  /// the tail), counted like pushStats().
   const RunStats &depositStats() const { return DepositTiming; }
 
-  /// Accumulated wall time of the field-solve stage across all steps so
-  /// far (on asynchronous field backends it includes the overlapped
-  /// deposit tail).
+  /// Accumulated wall time of the field-solve stage, counted like
+  /// pushStats() (on asynchronous field backends it includes the
+  /// overlapped deposit tail).
   const RunStats &fieldStats() const { return FieldTiming; }
 
-  /// Per-launch ledgers of the stage-1 precalc/push kernels (the
-  /// pipelined and sharded shapes; all zeros when stage 1 runs fused).
+  /// Per-launch ledgers of the push stage: the sharded shape's precalc
+  /// kernels (all zeros when stage 1 runs fused) and the fused or
+  /// per-shard push kernels.
   const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
   const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
@@ -934,29 +788,21 @@ public:
   const exec::StepGraph *stepGraph() const { return Graph.get(); }
 
   /// Submit-overhead totals across every per-launch ledger the step
-  /// touches (stage-1 push/precalc/push-kernel stats plus the deposit
-  /// and field chains): launches submitted, specs constructed, and wall
-  /// nanoseconds inside submit() outside kernel bodies. Timing fields
+  /// touches (the push stage's precalc/push-kernel ledgers plus the
+  /// deposit and field chains): launches submitted, specs constructed,
+  /// and wall nanoseconds inside submit() outside kernel bodies. Timing fields
   /// are left zero — this is the launch-bookkeeping view, not a wall
   /// clock.
   RunStats submitOverhead() const {
     RunStats Total;
     for (const RunStats *S :
-         {&PushTiming, &PrecalcKernelTiming, &PushKernelTiming,
-          &DepositLaunchStats, &FieldLaunchStats}) {
+         {&PrecalcKernelTiming, &PushKernelTiming, &DepositLaunchStats,
+          &FieldLaunchStats}) {
       Total.Launches += S->Launches;
       Total.SpecsBuilt += S->SpecsBuilt;
       Total.SubmitNs += S->SubmitNs;
     }
     return Total;
-  }
-
-  /// True if stage 1 runs as the double-buffered precalc/push pipeline
-  /// (the push backend is asynchronous and not sharded — the sharded
-  /// backend runs stage 1 as per-shard affinity-routed launches
-  /// instead).
-  bool usesAsyncPipeline() const {
-    return Backend->isAsynchronous() && !PushSharded();
   }
 
   /// Per-shard occupancy counters aggregated over *every* stage backend
@@ -1026,28 +872,13 @@ public:
     return Accumulator->tileBoundaries();
   }
 
-  /// Accumulated pipeline timing (all zeros unless usesAsyncPipeline()).
-  const PicPipelineStats &pipelineStats() const { return PipelineTiming; }
-
-  /// Chunks the pipeline actually executes per step. Ceil-division
-  /// chunk sizing can cover N with fewer chunks than requested (e.g.
-  /// 10 particles in 7 requested chunks -> 5 chunks of 2), so this
-  /// reports the executed count, matching the submissions made.
-  int pipelineChunkCount() const {
-    const Index N = Particles.view().size();
-    if (N <= 0)
-      return 0;
-    const Index ChunkSize = pipelineChunkSize(N);
-    return int((N + ChunkSize - 1) / ChunkSize);
-  }
-
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The precalc half of the pipelined stage 1: samples the grid fields
-  /// at every particle of one chunk into a double buffer, stashing the
-  /// unwrapped old position — exactly the reads the fused kernel does,
-  /// in the same per-particle order.
+  /// The precalc half of the sharded stage 1: samples the grid fields
+  /// at every particle of one shard's slice into the shard's arena,
+  /// stashing the unwrapped old position — exactly the reads the fused
+  /// kernel does, in the same per-particle order.
   struct PipelinePrecalcBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
@@ -1067,12 +898,14 @@ private:
     }
   };
 
-  /// The push half: consumes the chunk's sample buffer. The value
-  /// round-trip through the buffer is bitwise exact, so the Boris update
-  /// equals the fused kernel's.
+  /// The push half: consumes the slice's sample buffer, then wraps each
+  /// moved particle. The value round-trip through the buffer is bitwise
+  /// exact, so the Boris update equals the fused kernel's.
   struct PipelinePushBody {
     ViewT View;
     const FieldSample<Real> *Samples;
+    Vector3<Real> *NewPos;
+    const YeeGrid<Real> *Grid;
     const ParticleTypeInfo<Real> *Types;
     Index Offset;
     Real Dt, C;
@@ -1081,11 +914,12 @@ private:
       for (Index I = Begin; I < End; ++I) {
         auto P = View[Offset + I];
         BorisPusher::push<Real>(P, Samples[I], Types, Dt, C);
+        wrapMoved(P, NewPos[Offset + I], *Grid);
       }
     }
   };
 
-  /// The fused interpolate+push kernel of the synchronous stage 1 — a
+  /// The fused interpolate+push kernel of the unsharded stage 1 — a
   /// named body (not a step()-local lambda) so it can live in the
   /// reusable kernel cache across steps and a captured graph can keep
   /// pointing at it; the per-step simulation time flows in through the
@@ -1094,6 +928,8 @@ private:
     ViewT View;
     YeeInterpolator<Real> Interp;
     Vector3<Real> *OldPos;
+    Vector3<Real> *NewPos;
+    const YeeGrid<Real> *Grid;
     const ParticleTypeInfo<Real> *Types;
     Real Dt, C;
     const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
@@ -1106,142 +942,29 @@ private:
         OldPos[I] = Pos;
         const FieldSample<Real> F = Interp(Pos, Time, I);
         BorisPusher::push<Real>(P, F, Types, Dt, C);
+        wrapMoved(P, NewPos[I], *Grid);
       }
     }
   };
 
-  /// Stage 2 (position wrap) as a submittable kernel, for graph capture:
-  /// writes each particle's unwrapped endpoint and wraps it into the
-  /// box. Per-particle independent, so any partition is bit-identical
-  /// to the classic host loop.
-  struct WrapBody {
-    ViewT View;
-    Vector3<Real> *NewPos;
-    YeeGrid<Real> *Grid;
+  /// Stage 2 for one pushed particle: stashes the unwrapped endpoint the
+  /// deposition needs in \p NewPos and wraps the position into the box.
+  template <typename ProxyT>
+  static void wrapMoved(ProxyT P, Vector3<Real> &NewPos,
+                        const YeeGrid<Real> &Grid) {
+    const Vector3<Real> Pos = P.position();
+    NewPos = Pos;
+    P.setPosition(Grid.wrapPosition(Pos));
+  }
 
-    void operator()(Index Begin, Index End, int, int) const {
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[I];
-        const Vector3<Real> Pos = P.position();
-        NewPos[I] = Pos;
-        P.setPosition(Grid->wrapPosition(Pos));
-      }
-    }
-  };
-
-  /// Grid.clearCurrent() as a submittable kernel (one item), for graph
-  /// capture: under replay the J clear must be a node ordered before the
-  /// deposit reduction, not a host call.
+  /// Grid.clearCurrent() as a kernel (one item): under replay the J
+  /// clear must be a node ordered before the deposit, not a host call.
   struct ClearCurrentBody {
     YeeGrid<Real> *Grid;
 
     void operator()(Index, Index, int, int) const { Grid->clearCurrent(); }
   };
 
-  /// Stage 1 as one fused interpolate+push launch through \p Exec (the
-  /// real push backend, or its graph-capturing wrapper). \returns the
-  /// launch's event; the body lives in the reusable stage cache.
-  exec::ExecEvent fusedInterpPush(exec::ExecutionBackend &Exec,
-                                  const ViewT &View,
-                                  const YeeInterpolator<Real> &Interp,
-                                  Vector3<Real> *OldPos,
-                                  const ParticleTypeInfo<Real> *TypesPtr,
-                                  Real Dt, Real C, Index N,
-                                  const exec::ExecutionContext &Ctx) {
-    const FusedPushBody &Body = StageCache.emplace(
-        FusedPushBody{View, Interp, OldPos, TypesPtr, Dt, C, &StepParams});
-    exec::LaunchSpec Spec;
-    Spec.Items = N;
-    Spec.StepBegin = Steps;
-    Spec.StepEnd = Steps + 1;
-    PushTiming.SpecsBuilt += 1;
-    return Exec.submit(
-        Spec, exec::StepKernel(Body, exec::kernelIdentity<FusedPushBody>()),
-        Ctx, PushTiming);
-  }
-
-  /// Stage 1 as a double-buffered pipeline of non-blocking submissions:
-  /// precalc(k) fills buffer k%2 (waiting push(k-2), which frees it),
-  /// push(k) depends on precalc(k); on two lanes precalc(k+1) therefore
-  /// overlaps push(k). Every dependency points at an earlier submission,
-  /// so the pipeline cannot deadlock; the trailing waits also retire the
-  /// per-stage stats before anyone reads them.
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
-  std::vector<exec::ExecEvent>
-  pipelinedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                      const YeeInterpolator<Real> &Interp,
-                      Vector3<Real> *OldPos,
-                      const ParticleTypeInfo<Real> *TypesPtr, Real Dt,
-                      Real C, Index N,
-                      const exec::ExecutionContext &Ctx) {
-    const Index ChunkSize = pipelineChunkSize(N);
-    const int Chunks = int((N + ChunkSize - 1) / ChunkSize);
-    PipelineSamples[0].resize(std::size_t(ChunkSize));
-    PipelineSamples[1].resize(std::size_t(ChunkSize));
-
-    // Kernel bodies live in member vectors (cleared, not reallocated,
-    // so the steady state allocates nothing and the addresses stay
-    // stable for a captured graph) until every event below is waited —
-    // the asynchronous lifetime contract.
-    PrecalcBodies.clear();
-    PushBodies.clear();
-    std::vector<exec::ExecEvent> PrecalcEvents, PushEvents;
-    PrecalcBodies.reserve(std::size_t(Chunks));
-    PushBodies.reserve(std::size_t(Chunks));
-    PrecalcEvents.reserve(std::size_t(Chunks));
-    PushEvents.reserve(std::size_t(Chunks));
-
-    Stopwatch Wall;
-    for (int K = 0; K < Chunks; ++K) {
-      const Index Begin = Index(K) * ChunkSize;
-      const Index End = std::min(Begin + ChunkSize, N);
-      if (Begin >= End)
-        break;
-      FieldSample<Real> *Buf = PipelineSamples[K % 2].data();
-
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = End - Begin;
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      if (K >= 2) // buffer K%2 is free once push(K-2) has consumed it
-        PrecalcSpec.DependsOn.push_back(PushEvents[std::size_t(K - 2)]);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      PrecalcEvents.push_back(Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming));
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = End - Begin;
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.DependsOn.push_back(PrecalcEvents.back());
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
-    }
-    for (const exec::ExecEvent &Ev : PrecalcEvents)
-      Ev.wait();
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
-    PipelineTiming.WallNs += WallNs;
-    PipelineTiming.PrecalcNs = PrecalcKernelTiming.HostNs;
-    PipelineTiming.PushNs = PushKernelTiming.HostNs;
-    return PushEvents;
-  }
   /// The push backend's shard-resource surface, or nullptr when the
   /// backend is not sharded. (shardCount() is the cheap capability
   /// query; the interface is needed for the per-shard arenas — the
@@ -1258,34 +981,25 @@ private:
   /// owns the same particle slice every step). Each shard runs a
   /// precalc launch (field samples into the shard's first-touched
   /// arena, old positions stashed) chained to a push launch consuming
-  /// them, both routed to the shard's lane by affinity — so shards
-  /// proceed independently, with no cross-shard barrier until the final
-  /// wait. The sample-buffer round-trip is bitwise exact and every
+  /// them (and wrapping the moved particles), both routed to the shard's
+  /// lane by affinity — so shards proceed independently, with no
+  /// cross-shard barrier inside the stage. The sample-buffer round-trip is bitwise exact and every
   /// particle replays the fused kernel's exact operation sequence, so
   /// the result is bit-identical to the serial stage for every shard
   /// count (tests/pic/ShardEquivalenceTest.cpp).
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
+  /// \returns the push launches' events.
   /// Arenas always come from the concrete sharded backend; submissions
   /// go through \p Exec so a graph-capturing wrapper can record them.
   std::vector<exec::ExecEvent>
   shardedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
                     const YeeInterpolator<Real> &Interp,
-                    Vector3<Real> *OldPos,
+                    Vector3<Real> *OldPos, Vector3<Real> *NewPos,
                     const ParticleTypeInfo<Real> *TypesPtr, Real Dt, Real C,
                     Index N, const exec::ExecutionContext &Ctx) {
     exec::ShardResources *Sharded = PushSharded();
     const Index Blocks =
         exec::clampSlabCount(N, Index(Backend->shardCount()));
-
-    // Kernel bodies live in member vectors (cleared, not reallocated —
-    // stable addresses for the captured graph, nothing allocated in
-    // steady state) until every event below is waited.
-    PrecalcBodies.clear();
-    PushBodies.clear();
     std::vector<exec::ExecEvent> PushEvents;
-    PrecalcBodies.reserve(std::size_t(Blocks));
-    PushBodies.reserve(std::size_t(Blocks));
     PushEvents.reserve(std::size_t(Blocks));
 
     // After a fired rebalance the even split gives way to the
@@ -1305,65 +1019,24 @@ private:
       return R;
     };
 
-    Stopwatch Wall;
     for (Index S = 0; S < Blocks; ++S) {
       const exec::SlabRange R = BlockRange(S);
       if (R.empty())
         continue; // a weighted block may own no particles
       auto *Buf = static_cast<FieldSample<Real> *>(Sharded->shardArena(
           int(S), sizeof(FieldSample<Real>) * std::size_t(R.size())));
-
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  R.Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = R.size();
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      PrecalcSpec.ShardAffinity = int(S);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      const exec::ExecEvent Sampled = Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming);
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, R.Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = R.size();
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.ShardAffinity = int(S);
-      PushSpec.DependsOn.push_back(Sampled);
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
+      const exec::ExecEvent Sampled = exec::submitCachedLaunch(
+          Exec, Ctx, PrecalcKernelTiming, R.size(), /*GrainHint=*/0,
+          PipelinePrecalcBody{View, Interp, OldPos, Buf, R.Begin,
+                              &StepParams},
+          {}, StageCache, /*ShardAffinity=*/int(S));
+      PushEvents.push_back(exec::submitCachedLaunch(
+          Exec, Ctx, PushKernelTiming, R.size(), /*GrainHint=*/0,
+          PipelinePushBody{View, Buf, NewPos, &Grid, TypesPtr, R.Begin, Dt,
+                           C},
+          {Sampled}, StageCache, /*ShardAffinity=*/int(S)));
     }
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
     return PushEvents;
-  }
-
-  /// The pipeline chunk size for an ensemble of \p N: ceil(N / R) where
-  /// R is the requested chunk count — the explicit option, or two
-  /// chunks per lane (enough to keep every lane busy while the double
-  /// buffer recycles), clamped to the ensemble size. The executed chunk
-  /// count is ceil(N / chunk size), which can be less than R.
-  Index pipelineChunkSize(Index N) const {
-    int Requested = Options.PushPipelineChunks > 0
-                        ? Options.PushPipelineChunks
-                        : 2 * std::max(1, Backend->concurrency());
-    if (Index(Requested) > N && N > 0)
-      Requested = int(N);
-    Requested = std::max(1, Requested);
-    return (N + Requested - 1) / Requested;
   }
 
   /// The nine field lattices in checkpoint order (Ex..Bz, Jx..Jz) —
@@ -1413,24 +1086,19 @@ private:
   std::unique_ptr<minisycl::queue> Queue;
   std::vector<Vector3<Real>> OldPositions;
   std::vector<Vector3<Real>> NewPositions;
-  std::vector<FieldSample<Real>> PipelineSamples[2]; ///< the double buffer
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PrecalcKernelTiming; ///< pipeline precalc kernels only
-  RunStats PushKernelTiming;    ///< pipeline push kernels only
+  RunStats PrecalcKernelTiming; ///< sharded precalc launch ledger
+  RunStats PushKernelTiming;    ///< push + wrap launch ledger
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
-  PicPipelineStats PipelineTiming;
   exec::ParamBlock StepParams; ///< per-step rebinding surface
   Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
-  exec::KernelCache StageCache; ///< stage-level bodies (push/wrap/clear)
+  exec::KernelCache StageCache; ///< clear + stage-1 bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
-  std::vector<PipelinePrecalcBody> PrecalcBodies; ///< stage-1 bodies
-  std::vector<PipelinePushBody> PushBodies;       ///< (stable addresses)
   std::unique_ptr<exec::StepGraph> Graph;
-  std::unique_ptr<exec::GraphCapture> PushCap, DepositCap, FieldCap;
   Index GraphN = Index(-1); ///< ensemble size the graph was captured at
   long long GraphCaptures = 0;
   long long GraphReplays = 0;

@@ -5,22 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A FIFO work queue drained by dedicated background threads — the
+/// A FIFO work queue drained by one dedicated background thread — the
 /// shared engine behind every non-blocking submission path: the
-/// minisycl queue's device thread (one worker, in-order command groups)
-/// and the async-pipeline backend's lanes (several workers, launches
-/// popped in submission order).
+/// minisycl queue's device thread (in-order command groups) and the
+/// sharded backend's per-shard lanes (launches in submission order).
 ///
 /// Guarantees:
-///   * tasks are *popped* in push order (with one worker this is full
-///     in-order execution; with several, execution overlaps but the
-///     earliest unfinished task is always already claimed);
+///   * tasks execute one at a time, in push order;
 ///   * drain() blocks until every pushed task has finished;
 ///   * the destructor drains, then joins — no task is dropped.
 ///
-/// Worker threads are created lazily on the first push, so constructing
-/// one of these inside rarely-async objects (every minisycl queue) is
-/// free.
+/// The worker thread is created lazily on the first push, so
+/// constructing one of these inside rarely-async objects (every
+/// minisycl queue) is free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,19 +30,18 @@
 #include <mutex>
 #include <thread>
 #include <utility>
-#include <vector>
 
 namespace hichi {
 namespace threading {
 
-/// FIFO queue of \p Task objects executed by \p Workers background
-/// threads through a fixed run function.
+/// FIFO queue of \p Task objects executed by one background thread
+/// through a fixed run function.
 template <typename Task> class InOrderWorkQueue {
 public:
-  /// \p Run executes one task (on a worker thread); \p Workers is the
-  /// number of background threads (>= 1), created lazily at first push.
-  InOrderWorkQueue(std::function<void(Task &)> Run, int Workers = 1)
-      : Run(std::move(Run)), Workers(Workers < 1 ? 1 : Workers) {}
+  /// \p Run executes one task (on the worker thread, created lazily at
+  /// first push).
+  explicit InOrderWorkQueue(std::function<void(Task &)> Run)
+      : Run(std::move(Run)) {}
 
   ~InOrderWorkQueue() {
     drain();
@@ -54,22 +50,19 @@ public:
       ShuttingDown = true;
     }
     WorkCv.notify_all();
-    for (std::thread &T : Threads)
-      if (T.joinable())
-        T.join();
+    if (Worker.joinable())
+      Worker.join();
   }
 
   InOrderWorkQueue(const InOrderWorkQueue &) = delete;
   InOrderWorkQueue &operator=(const InOrderWorkQueue &) = delete;
 
-  int workerCount() const { return Workers; }
-
   /// Enqueues \p T; returns immediately.
   void push(Task T) {
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      while (int(Threads.size()) < Workers)
-        Threads.emplace_back([this] { workerLoop(); });
+      if (!Worker.joinable())
+        Worker = std::thread([this] { workerLoop(); });
       Pending.push_back(std::move(T));
     }
     WorkCv.notify_one();
@@ -105,14 +98,13 @@ private:
   }
 
   std::function<void(Task &)> Run;
-  int Workers;
-  std::vector<std::thread> Threads;
+  std::thread Worker;
 
   std::mutex Mutex;
-  std::condition_variable WorkCv; ///< wakes workers
+  std::condition_variable WorkCv; ///< wakes the worker
   std::condition_variable IdleCv; ///< wakes drain()ers
   std::deque<Task> Pending;
-  int Running = 0; ///< tasks popped but not yet finished
+  int Running = 0; ///< 1 while the worker runs a popped task
   bool ShuttingDown = false;
 };
 

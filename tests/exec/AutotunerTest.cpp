@@ -48,8 +48,7 @@ MachineProfile fixedProfile(double SubmitNs) {
       {64.0 * 1024 * 1024, 12.0e9, 11.0e9, 40.0e9, 38.0e9},
   };
   for (const char *Backend :
-       {"serial", "openmp", "dpcpp", "dpcpp-numa", "async-pipeline",
-        "sharded"})
+       {"serial", "openmp", "dpcpp", "dpcpp-numa", "sharded"})
     P.Submit.push_back({Backend, SubmitNs, SubmitNs * 1.2});
   return P;
 }

@@ -35,7 +35,7 @@ TEST(BackendRegistryTest, BuiltinsEnumerateInRegistrationOrder) {
   EXPECT_EQ(Names[1], "openmp");
   EXPECT_EQ(Names[2], "dpcpp");
   EXPECT_EQ(Names[3], "dpcpp-numa");
-  EXPECT_EQ(Names[4], "async-pipeline");
+  EXPECT_EQ(Names[4], "sharded");
 }
 
 TEST(BackendRegistryTest, CreateResolvesEveryRegisteredName) {
@@ -162,7 +162,7 @@ TEST_P(BackendCoverageTest, EveryParticleStepPairVisitedExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(
     AllBuiltins, BackendCoverageTest,
     ::testing::Combine(::testing::Values("serial", "openmp", "dpcpp",
-                                         "dpcpp-numa", "async-pipeline"),
+                                         "dpcpp-numa", "sharded"),
                        ::testing::Values(1, 2, 4, 7)),
     [](const auto &Info) {
       std::string Name = std::get<0>(Info.param) + "_fuse" +

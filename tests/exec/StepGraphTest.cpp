@@ -175,8 +175,7 @@ TEST(StepGraphTest, ReplayRebindsParamsWithoutCountingLaunches) {
 TEST(StepGraphTest, ReplayMatchesResubmissionOnEveryBackend) {
   for (const std::string &Name :
        {std::string("serial"), std::string("openmp"), std::string("dpcpp"),
-        std::string("dpcpp-numa"), std::string("async-pipeline"),
-        std::string("sharded")}) {
+        std::string("dpcpp-numa"), std::string("sharded")}) {
     GraphHarness H(Name, /*Threads=*/3);
     const Index N = 257; // ragged across any worker/shard split
     std::vector<double> Data(std::size_t(N), 0.0);

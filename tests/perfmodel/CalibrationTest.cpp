@@ -190,4 +190,22 @@ TEST(CalibrationTest, BoundedMeasurementProducesASaneProfile) {
   EXPECT_TRUE(Back == P);
 }
 
+TEST(CalibrationTest, SaturatedMeasurementRunsConcurrentWorkers) {
+  // Two saturated workers stream and run the FMA loop at the same time;
+  // under -fsanitize=thread this is the race check for the workers'
+  // checksum sinks.
+  CalibrationConfig Config;
+  Config.Threads = 2;
+  Config.Repeats = 1;
+  Config.BytesPerRepeat = 256.0 * 1024;
+  Config.FmaIterations = 10 * 1000;
+  Config.WorkingSets = {64.0 * 1024};
+  const MachineProfile P = Calibration::measure(Config);
+
+  EXPECT_EQ(P.Threads, 2);
+  EXPECT_GT(P.FmaFlopsSaturated, 0.0);
+  ASSERT_EQ(P.Tiers.size(), 1u);
+  EXPECT_GT(P.Tiers[0].SaturatedBandwidth, 0.0);
+}
+
 } // namespace
